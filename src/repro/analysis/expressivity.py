@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from ..autograd import Tensor
 from ..core.topology import PTCTopology
@@ -176,6 +175,8 @@ def unitary_expressivity(
     A fresh factory is built per target so each fit starts from an
     independent initialization.
     """
+    from scipy.stats import unitary_group
+
     rng = get_rng(rng)
     errors, fids = [], []
     for _ in range(n_targets):

@@ -70,6 +70,22 @@ def _as_array(data: Arrayable) -> np.ndarray:
     return arr
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes; a real operand that is
+    C- or F-contiguous is returned as a view, since copying it would
+    not change its layout."""
+    xt = np.swapaxes(x, -1, -2)
+    if not np.iscomplexobj(x) and (x.flags.c_contiguous or x.flags.f_contiguous):
+        return xt
+    return np.conj(xt)
+
+
+def _needs_grad(t: "Tensor") -> bool:
+    """Whether the backward pass keeps a gradient for ``t``; a constant
+    leaf's gradient is dropped, so ops need not compute it."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to undo numpy broadcasting."""
     if grad.shape == shape:
@@ -413,8 +429,8 @@ def mul(a: Arrayable, b: Arrayable) -> Tensor:
     out = a.data * b.data
 
     def backward(g: np.ndarray):
-        ga = _unbroadcast(g * np.conj(b.data), a.shape)
-        gb = _unbroadcast(g * np.conj(a.data), b.shape)
+        ga = _unbroadcast(g * np.conj(b.data), a.shape) if _needs_grad(a) else None
+        gb = _unbroadcast(g * np.conj(a.data), b.shape) if _needs_grad(b) else None
         return ga, gb
 
     return _make(out, (a, b), backward)
@@ -765,6 +781,7 @@ def matmul(a: Arrayable, b: Arrayable) -> Tensor:
 
     def backward(g: np.ndarray):
         ad, bd = a.data, b.data
+        ga = gb = None
         if ad.ndim == 1 and bd.ndim == 1:
             # inner product
             ga = g * np.conj(bd)
@@ -782,10 +799,12 @@ def matmul(a: Arrayable, b: Arrayable) -> Tensor:
             gb = np.conj(np.swapaxes(ad, -1, -2)) @ np.expand_dims(g, -1)
             gb = _unbroadcast(gb.squeeze(-1), b.shape)
         else:
-            ga = g @ np.conj(np.swapaxes(bd, -1, -2))
-            gb = np.conj(np.swapaxes(ad, -1, -2)) @ g
-            ga = _unbroadcast(ga, a.shape)
-            gb = _unbroadcast(gb, b.shape)
+            # Gradients of constant operands are skipped: the backward
+            # pass would drop them.
+            if _needs_grad(a):
+                ga = _unbroadcast(g @ _adjoint(bd), a.shape)
+            if _needs_grad(b):
+                gb = _unbroadcast(_adjoint(ad) @ g, b.shape)
         return ga, gb
 
     return _make(out, (a, b), backward)

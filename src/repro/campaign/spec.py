@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Iterator, List, Union
 
 from ..utils.serialization import atomic_write_text, canonical_json_dumps, json_digest
 
@@ -163,7 +163,7 @@ class CampaignSpec:
         from .runners import get_runner
 
         get_runner(self.kind)  # raises on unknown kind
-        if not expand(self):
+        if next(_surviving_coords(self), None) is None:
             raise ValueError("exclude patterns drop every cell")
         return self
 
@@ -183,6 +183,18 @@ class CampaignCell:
     params: dict
 
 
+def _surviving_coords(spec: CampaignSpec) -> Iterator[dict]:
+    """Cell coordinates in expansion order, excluded cells dropped."""
+    names = sorted(spec.axes)
+    for values in itertools.product(*(spec.axes[n] for n in names)):
+        coords = dict(zip(names, values))
+        if not any(
+            all(coords.get(k) == v for k, v in pattern.items())
+            for pattern in spec.exclude
+        ):
+            yield coords
+
+
 def expand(spec: CampaignSpec) -> List[CampaignCell]:
     """Deterministically enumerate the campaign matrix.
 
@@ -190,20 +202,15 @@ def expand(spec: CampaignSpec) -> List[CampaignCell]:
     fastest; values within an axis keep their declared order.  Cells
     matching an exclude pattern are dropped, and the surviving cells
     are numbered densely — so cell index, id, and order depend only on
-    the spec content.
+    the spec content.  The campaign id is hashed once per call, so
+    expansion is linear in the number of cells.
     """
-    names = sorted(spec.axes)
+    campaign_id = spec.campaign_id
     cells: List[CampaignCell] = []
-    for values in itertools.product(*(spec.axes[n] for n in names)):
-        coords = dict(zip(names, values))
-        if any(
-            all(coords.get(k) == v for k, v in pattern.items())
-            for pattern in spec.exclude
-        ):
-            continue
+    for coords in _surviving_coords(spec):
         params = dict(spec.base)
         params.update(coords)
-        cell_id = json_digest({"campaign": spec.campaign_id, "cell": params})
+        cell_id = json_digest({"campaign": campaign_id, "cell": params})
         cells.append(
             CampaignCell(
                 index=len(cells), cell_id=cell_id, coords=coords, params=params

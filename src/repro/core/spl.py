@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..photonics.crossings import count_inversions, is_permutation_matrix
 from ..utils.rng import get_rng
@@ -81,6 +80,8 @@ def legalize_one(
         return best, max_tries
     # Deterministic fallback: maximum-weight assignment on the relaxed
     # scores — always a legal permutation.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-p)
     fallback = np.zeros_like(p)
     fallback[rows, cols] = 1.0

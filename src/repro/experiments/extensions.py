@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from ..analysis.expressivity import build_factory, fit_unitary
 from ..analysis.pareto import ParetoPoint, pareto_front
@@ -294,6 +293,8 @@ def expressivity_cell(
     topology matches the legacy run bit-for-bit.  Fits use fresh
     per-target generators and are independent across designs.
     """
+    from scipy.stats import unitary_group
+
     from ..photonics.footprint import butterfly_footprint, mzi_onn_footprint
     from .common import TABLE1_WINDOWS
 
@@ -386,6 +387,8 @@ def _run_expressivity_comparison_reference(
     seed: int,
 ) -> ExpressivityComparison:
     """The pre-redesign loop, kept verbatim as the parity oracle."""
+    from scipy.stats import unitary_group
+
     from ..photonics.footprint import butterfly_footprint, mzi_onn_footprint
     from .common import TABLE1_WINDOWS
 
@@ -450,6 +453,8 @@ def quantization_cell(
     each width, QAT rebuilds a fresh factory per width — so a single
     width rerun matches the joint run value-for-value.
     """
+    from scipy.stats import unitary_group
+
     from ..autograd import Tensor
     from ..core.quantization import ste_quantize_phase
     from ..nn.module import Parameter
@@ -558,6 +563,8 @@ def _run_quantization_study_reference(
     seed: int,
 ) -> QuantizationStudy:
     """The pre-redesign loop, kept verbatim as the parity oracle."""
+    from scipy.stats import unitary_group
+
     target = unitary_group.rvs(k, random_state=seed)
     target_norm = float(np.linalg.norm(target))
     out = QuantizationStudy(k=k, bit_widths=list(bit_widths))

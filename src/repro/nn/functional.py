@@ -24,11 +24,20 @@ def _pair(v) -> Tuple[int, int]:
 
 
 def _im2col_array(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, OH, OW, C, kh, kw) patch view (copied)."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    # windows: (N, C, H-kh+1, W-kw+1, kh, kw)
-    windows = windows[:, :, ::sh, ::sw, :, :]
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    """(N, C, H, W) -> (N, OH, OW, C, kh, kw) patch view (copied).
+
+    Windows are taken over a channels-last copy of ``x``, so the gather
+    reads runs of C contiguous values instead of single elements.
+    """
+    x_nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    windows = np.lib.stride_tricks.sliding_window_view(x_nhwc, (kh, kw), axis=(1, 2))
+    # windows: (N, H-kh+1, W-kw+1, C, kh, kw)
+    return np.ascontiguousarray(windows[:, ::sh, ::sw])
+
+
+#: Bytes of ``gcol`` scattered per chunk in :func:`_col2im_array`
+#: (about one L2 cache).
+_COL2IM_CHUNK_BYTES = 1 << 20
 
 
 def _col2im_array(
@@ -39,18 +48,26 @@ def _col2im_array(
     sh: int,
     sw: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`_im2col_array` (scatter-add patches back)."""
+    """Adjoint of :func:`_im2col_array` (scatter-add patches back).
+
+    Accumulates channels-last, matching ``gcol``'s layout, a chunk of
+    samples at a time so the kh*kw strided passes re-read ``gcol`` from
+    cache.  Every element still receives its patches in the same (i, j)
+    order, so the sums are bit-for-bit those of a plain loop.
+    """
     n, c, h, w = x_shape
-    gx = np.zeros(x_shape, dtype=gcol.dtype)
+    gx = np.zeros((n, h, w, c), dtype=gcol.dtype)
     # gcol: (N, OH, OW, C, kh, kw)
     oh, ow = gcol.shape[1], gcol.shape[2]
-    g = gcol.transpose(0, 3, 4, 5, 1, 2)  # (N, C, kh, kw, OH, OW)
-    for i in range(kh):
-        h_end = i + sh * oh
-        for j in range(kw):
-            w_end = j + sw * ow
-            gx[:, :, i:h_end:sh, j:w_end:sw] += g[:, :, i, j]
-    return gx
+    step = max(1, _COL2IM_CHUNK_BYTES // max(1, gcol[:1].nbytes))
+    for n0 in range(0, n, step):
+        g, gx_chunk = gcol[n0:n0 + step], gx[n0:n0 + step]
+        for i in range(kh):
+            h_end = i + sh * oh
+            for j in range(kw):
+                w_end = j + sw * ow
+                gx_chunk[:, i:h_end:sh, j:w_end:sw, :] += g[..., i, j]
+    return np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
 
 
 def im2col(x: Tensor, kernel_size, stride=1) -> Tensor:

@@ -36,6 +36,7 @@ Kinds
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from typing import List, Optional
 
 import numpy as np
@@ -513,29 +514,47 @@ register_job_type(JobType(
 # ----------------------------------------------------------------------
 
 
-def _campaign_spec(params: dict):
-    from ..campaign import CampaignSpec
+#: Per-process memo of validated campaign specs and their cell lists,
+#: keyed on the spec's canonical JSON and evicted least recently used
+#: first.  A worker serving a campaign then validates and expands its
+#: spec once, not once per shard.  Failures are never stored.
+_CAMPAIGN_MEMO: "OrderedDict[str, tuple]" = OrderedDict()
+_CAMPAIGN_MEMO_SIZE = 8
+
+
+def _campaign(params: dict) -> tuple:
+    """``(validated CampaignSpec, its expanded cells)`` for ``params``."""
+    from ..campaign import CampaignSpec, expand
 
     if set(params) != {"spec"}:
         raise ValueError("campaign params must be exactly {'spec': ...} "
                          "(see repro.campaign.campaign_job_params)")
-    return CampaignSpec.from_dict(params["spec"]).validate()
+    key = canonical_json_dumps(params["spec"])
+    entry = _CAMPAIGN_MEMO.get(key)
+    if entry is None:
+        spec = CampaignSpec.from_dict(params["spec"]).validate()
+        entry = (spec, expand(spec))
+        _CAMPAIGN_MEMO[key] = entry
+        if len(_CAMPAIGN_MEMO) > _CAMPAIGN_MEMO_SIZE:
+            _CAMPAIGN_MEMO.popitem(last=False)
+    else:
+        _CAMPAIGN_MEMO.move_to_end(key)
+    return entry
 
 
 def _campaign_expand(params: dict) -> List[dict]:
-    from ..campaign import expand
-
+    _, cells = _campaign(params)
     return [
         {"cell_index": cell.index, "cell_id": cell.cell_id}
-        for cell in expand(_campaign_spec(params))
+        for cell in cells
     ]
 
 
 def _campaign_run_shard(params: dict, shard: dict) -> dict:
-    from ..campaign import expand, get_runner
+    from ..campaign import get_runner
 
-    spec = _campaign_spec(params)
-    cell = expand(spec)[int(shard["cell_index"])]
+    spec, cells = _campaign(params)
+    cell = cells[int(shard["cell_index"])]
     if cell.cell_id != shard["cell_id"]:
         raise ValueError(
             f"cell id mismatch at index {cell.index}: the spec no longer "
@@ -549,7 +568,7 @@ def _campaign_run_shard(params: dict, shard: dict) -> dict:
 
 
 def _campaign_aggregate(params: dict, shard_results: List[dict]) -> dict:
-    spec = _campaign_spec(params)
+    spec, _ = _campaign(params)
     return {
         "campaign_id": spec.campaign_id,
         "name": spec.name,

@@ -130,7 +130,37 @@ CREATE TABLE IF NOT EXISTS transitions (
 );
 CREATE INDEX IF NOT EXISTS idx_shards_claim
     ON shards (status, not_before);
+CREATE INDEX IF NOT EXISTS idx_shards_job_status
+    ON shards (job_id, status, idx);
+CREATE INDEX IF NOT EXISTS idx_jobs_active
+    ON jobs (created, id) WHERE status IN ('pending', 'running');
 """
+
+#: The next claimable shard: active jobs in claim order from
+#: ``idx_jobs_active``, then each job's pending shards in index order
+#: from ``idx_shards_job_status`` — no sort, whatever the shard count.
+#: CROSS JOIN pins that loop order, ``+s.not_before`` keeps the planner
+#: off ``idx_shards_claim``, and ``j.rowid`` makes each outer row
+#: distinct so the index walk satisfies the ORDER BY.
+_CLAIM_SQL = (
+    "SELECT s.job_id, s.idx, s.payload, s.attempts, "
+    "       j.kind, j.params, j.status AS job_status "
+    "FROM jobs j CROSS JOIN shards s ON s.job_id = j.id "
+    "WHERE j.status IN ('pending', 'running') "
+    "      AND s.status='pending' AND +s.not_before <= ? "
+    "ORDER BY j.created, j.id, j.rowid, s.idx LIMIT 1"
+)
+
+#: A shard is not done yet.  Spelled as an IN list so that, with a
+#: ``job_id=?`` term, it is a few probes of ``idx_shards_job_status``
+#: rather than a walk over the job's shards.
+_SHARD_NOT_DONE = "status IN ({})".format(", ".join(
+    repr(s) for s in SHARD_TRANSITIONS if s not in (None, "done")))
+
+#: Any shard of job ``?`` not done yet (the last-shard check).
+_SHARD_NOT_DONE_SQL = (
+    f"SELECT 1 FROM shards WHERE job_id=? AND {_SHARD_NOT_DONE} LIMIT 1"
+)
 
 
 class JobQueue:
@@ -281,22 +311,11 @@ class JobQueue:
         now = time.time() if now is None else now
         with self._txn():
             self._requeue_expired_locked(now)
-            row = self._conn.execute(
-                "SELECT s.job_id, s.idx, s.payload, s.attempts, "
-                "       j.kind, j.params "
-                "FROM shards s JOIN jobs j ON j.id = s.job_id "
-                "WHERE s.status='pending' AND s.not_before <= ? "
-                "      AND j.status IN ('pending', 'running') "
-                "ORDER BY j.created, s.job_id, s.idx LIMIT 1",
-                (now,),
-            ).fetchone()
+            row = self._conn.execute(_CLAIM_SQL, (now,)).fetchone()
             if row is None:
                 return None
             job_id, idx = row["job_id"], row["idx"]
-            job_status = self._conn.execute(
-                "SELECT status FROM jobs WHERE id=?", (job_id,)
-            ).fetchone()["status"]
-            if job_status == "pending":
+            if row["job_status"] == "pending":
                 self._transition_job(job_id, "running", now, "first-claim")
             self._transition_shard(job_id, idx, "running", now, "claim")
             lease_until = now + lease_seconds
@@ -399,10 +418,16 @@ class JobQueue:
         """Running jobs whose shards are all done (awaiting aggregate)."""
         rows = self._conn.execute(
             "SELECT j.id FROM jobs j WHERE j.status='running' AND NOT EXISTS "
-            "(SELECT 1 FROM shards s WHERE s.job_id=j.id AND s.status!='done')"
+            f"(SELECT 1 FROM shards WHERE job_id=j.id AND {_SHARD_NOT_DONE})"
             " ORDER BY j.created"
         ).fetchall()
         return [r["id"] for r in rows]
+
+    def all_shards_done(self, job_id: str) -> bool:
+        """True once no shard of ``job_id`` is pending, running or
+        failed — a constant-cost check, whatever the shard count."""
+        row = self._conn.execute(_SHARD_NOT_DONE_SQL, (job_id,)).fetchone()
+        return row is None
 
     def finalize_job(
         self, job_id: str, result_ref: str, now: Optional[float] = None
@@ -416,12 +441,7 @@ class JobQueue:
             ).fetchone()
             if row is None or row["status"] != "running":
                 return False
-            remaining = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM shards WHERE job_id=? "
-                "AND status!='done'",
-                (job_id,),
-            ).fetchone()["n"]
-            if remaining:
+            if not self.all_shards_done(job_id):
                 return False
             self._transition_job(job_id, "done", now, "aggregate")
             self._conn.execute(

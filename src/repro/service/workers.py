@@ -70,14 +70,13 @@ def _try_finalize(queue: JobQueue, store: ArtifactStore, job_id: str) -> bool:
     function of the (deterministic) shard results, and the queue-side
     ``finalize_job`` transition admits exactly one winner.
     """
-    refs = queue.shard_result_refs(job_id)
-    if any(r is None for r in refs):
+    if not queue.all_shards_done(job_id):
         return False
     status = queue.job_status(job_id)
     if status["status"] != "running":
         return False
     job_type = get_job_type(status["kind"])
-    shard_results = [store.get(r) for r in refs]
+    shard_results = [store.get(r) for r in queue.shard_result_refs(job_id)]
     final = job_type.aggregate(status["params"], shard_results)
     final_ref = store.put(final)
     return queue.finalize_job(job_id, final_ref)

@@ -1,8 +1,11 @@
 """Unit tests for the persistent queue: lifecycle, leases, retries,
 fencing, and the legality of every audited transition."""
 
+import re
+
 import pytest
 
+from repro.service import queue as queue_module
 from repro.service import (
     IllegalTransition,
     JOB_TRANSITIONS,
@@ -218,3 +221,65 @@ class TestPersistence:
         assert c.idx == 1
         assert_history_legal(q2.history())
         q2.close()
+
+
+class TestClaimIndex:
+    """Claims and the last-shard check cost the same at any shard count:
+    they are served from indexes, never a sort or a scan of shards."""
+
+    @staticmethod
+    def _plan(queue, sql, args):
+        return [row[3] for row in queue._conn.execute(
+            "EXPLAIN QUERY PLAN " + sql, args)]
+
+    @pytest.mark.parametrize("sql, args", [
+        (queue_module._CLAIM_SQL, (0.0,)),
+        (queue_module._SHARD_NOT_DONE_SQL, ("job",)),
+    ])
+    def test_plans_neither_sort_nor_scan_shards(self, queue, sql, args):
+        _submit(queue, n_shards=50)
+        plan = self._plan(queue, sql, args)
+        assert plan
+        for step in plan:
+            assert "TEMP B-TREE" not in step, plan
+            assert not re.match(r"SCAN (s|shards)\b", step), plan
+
+    def test_existing_root_gains_the_indexes(self, tmp_path):
+        path = tmp_path / "queue.sqlite"
+        q = JobQueue(path)
+        q._conn.execute("DROP INDEX idx_shards_job_status")
+        q._conn.execute("DROP INDEX idx_jobs_active")
+        q.close()
+        q = JobQueue(path)
+        names = {r[0] for r in q._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='index'")}
+        q.close()
+        assert {"idx_shards_job_status", "idx_jobs_active"} <= names
+
+    def test_claim_order_is_created_then_job_id_then_index(self, queue):
+        late = _submit(queue, n_shards=2, seed=0, now=200.0)
+        tied = sorted([_submit(queue, n_shards=2, seed=1, now=100.0),
+                       _submit(queue, n_shards=2, seed=2, now=100.0)])
+        claims = [queue.claim_shard("w", now=300.0 + i) for i in range(6)]
+        assert [(c.job_id, c.idx) for c in claims] == [
+            (tied[0], 0), (tied[0], 1), (tied[1], 0), (tied[1], 1),
+            (late, 0), (late, 1),
+        ]
+
+    def test_claim_skips_backed_off_shard(self, queue):
+        job_id = _submit(queue, n_shards=2, now=100.0)
+        c0 = queue.claim_shard("w", now=101.0)
+        queue.fail_shard(job_id, c0.idx, "err", "w", max_attempts=3,
+                         backoff_seconds=10.0, now=102.0)
+        assert queue.claim_shard("w", now=103.0).idx == 1
+        assert queue.claim_shard("w", now=104.0) is None
+        assert queue.claim_shard("w", now=113.0).idx == 0
+
+    def test_all_shards_done(self, queue):
+        job_id = _submit(queue, n_shards=2, now=100.0)
+        assert not queue.all_shards_done(job_id)
+        for t in (101.0, 102.0):
+            c = queue.claim_shard("w", now=t)
+            assert not queue.all_shards_done(job_id)
+            queue.complete_shard(job_id, c.idx, f"r{c.idx}", "w", now=t)
+        assert queue.all_shards_done(job_id)
