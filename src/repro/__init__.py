@@ -16,30 +16,19 @@ Quickstart::
     print(result.topology.summary(AMF))
 """
 
-from . import (
-    analysis,
-    autograd,
-    core,
-    data,
-    layout,
-    nn,
-    onn,
-    optim,
-    photonics,
-    ptc,
-    service,
-    utils,
-)
-from .autograd.backend import (
-    available_backends,
-    backend_scope,
-    default_backend,
-    get_backend,
-    register_backend,
-    set_default_backend,
-)
+import importlib
 
 __version__ = "1.0.0"
+
+#: Re-exported from :mod:`repro.autograd.backend`.
+_BACKEND_NAMES = (
+    "available_backends",
+    "backend_scope",
+    "default_backend",
+    "get_backend",
+    "register_backend",
+    "set_default_backend",
+)
 
 __all__ = [
     "analysis",
@@ -62,3 +51,17 @@ __all__ = [
     "utils",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: subpackages and the backend re-exports load on first
+    # access, so ``import repro`` costs only this module (see the
+    # "Import cost" section of docs/ARCHITECTURE.md).
+    if name in _BACKEND_NAMES:
+        value = getattr(importlib.import_module(".autograd.backend", __name__), name)
+    elif name in __all__:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -45,19 +45,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .core import (
-    ADEPTConfig,
-    EvolutionarySearch,
-    PTCTopology,
-    RandomSearch,
-    make_expressivity_evaluator,
-    search_ptc,
-)
-from .experiments.common import TABLE1_WINDOWS, TABLE2_WINDOWS
-from .photonics import available_pdks, get_pdk
 
 __all__ = ["build_parser", "main"]
 
@@ -300,7 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
 # commands
 # ----------------------------------------------------------------------
 
+# Each command imports the layers it uses, so a command pays only for
+# its own imports (``info`` loads no search, training or layout code).
+
 def cmd_info(args: argparse.Namespace) -> int:
+    from .photonics.pdk import (
+        TABLE1_WINDOWS,
+        TABLE2_WINDOWS,
+        available_pdks,
+        get_pdk,
+    )
+
     print(f"repro {__version__} — ADEPT (DAC 2022) reproduction")
     print("\nregistered PDKs (device areas in um^2):")
     for name in available_pdks():
@@ -317,6 +315,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .core import ADEPTConfig, search_ptc
+    from .photonics import get_pdk
+
     pdk = get_pdk(args.pdk)
     cfg = ADEPTConfig(
         k=args.k,
@@ -341,6 +342,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .core import PTCTopology
     from .experiments.common import ExperimentScale, train_eval_mesh
 
     scale = ExperimentScale()
@@ -367,7 +369,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .core import PTCTopology
     from .layout import build_netlist, place, render_topology
+    from .photonics import get_pdk
 
     topo = PTCTopology.load(args.design)
     pdk = get_pdk(args.pdk)
@@ -395,6 +399,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_robustness(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .core import PTCTopology
     from .photonics.nonideality import (
         NonidealitySpec,
         unitary_fidelity_under_noise,
@@ -414,6 +421,9 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline_search(args: argparse.Namespace) -> int:
+    from .core import EvolutionarySearch, RandomSearch, make_expressivity_evaluator
+    from .photonics import get_pdk
+
     pdk = get_pdk(args.pdk)
     f_min, f_max = args.f_min * 1000.0, args.f_max * 1000.0
     evaluate = make_expressivity_evaluator(steps=120, seed=args.seed)
@@ -456,6 +466,7 @@ def _load_job_params(args: argparse.Namespace) -> dict:
     if not isinstance(params, dict):
         raise ValueError("job params must be a JSON object")
     if args.design is not None:
+        from .core import PTCTopology
         from .service.handlers import topology_param
 
         topo = PTCTopology.load(args.design)
@@ -655,7 +666,7 @@ def _build_chip(args: argparse.Namespace, drift=None, **chip_kwargs):
     The target is the transfer of an ideal (drift- and error-free)
     twin at the same seed — what the chip is supposed to realize.
     """
-    from .core.topology import random_topology
+    from .core.topology import PTCTopology, random_topology
     from .hardware import SimulatedChip
     from .utils.rng import spawn_rng, stable_seed
 

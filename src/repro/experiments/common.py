@@ -32,19 +32,8 @@ from ..photonics import (
     butterfly_footprint,
     mzi_onn_footprint,
 )
+from ..photonics.pdk import TABLE1_WINDOWS, TABLE2_WINDOWS
 from ..utils.rng import spawn_rng
-
-#: Table 1 footprint windows per PTC size (1000 um^2), AMF PDK.
-TABLE1_WINDOWS: Dict[int, List[Tuple[float, float]]] = {
-    8: [(240, 300), (336, 420), (432, 540), (528, 660), (624, 780)],
-    16: [(480, 600), (672, 840), (864, 1080), (1056, 1320), (1248, 1560)],
-    32: [(960, 1200), (1344, 1680), (1728, 2160), (2112, 2640), (2496, 3120)],
-}
-
-#: Table 2 footprint windows (16x16, AIM PDK), ADEPT-a0 .. ADEPT-a5.
-TABLE2_WINDOWS: List[Tuple[float, float]] = [
-    (384, 480), (480, 600), (672, 840), (864, 1080), (1056, 1320), (1248, 1560),
-]
 
 #: Paper-reported reference numbers, used in printed comparisons.
 PAPER_TABLE1_ACCURACY = {

@@ -24,14 +24,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from ..core.topology import BlockSpec, PTCTopology
 from ..photonics.crossings import routing_schedule
 from ..photonics.nonideality import NonidealitySpec
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Device", "Netlist", "build_netlist"]
 
@@ -101,8 +103,11 @@ class Netlist:
 
         Edges carry the waveguide position (``wire``).  Pass-through
         segments (a wire skipping a column) connect the previous
-        emitter directly to the next consumer.
+        emitter directly to the next consumer.  networkx is imported
+        here, not at module level: nothing else in the package needs it.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         last: Dict[int, str] = {}
         for w in range(self.k):
@@ -121,9 +126,18 @@ class Netlist:
         return g
 
     def optical_depth(self) -> int:
-        """Maximum number of devices on any input->output path."""
-        g = self.to_graph()
-        return int(nx.dag_longest_path_length(g)) - 1  # exclude the port hop
+        """Maximum number of devices on any input->output path.
+
+        Longest path through the DAG of :meth:`to_graph`, computed
+        column by column: a device sits one hop behind the deepest
+        device last seen on any of its wires.
+        """
+        depth = [0] * self.k  # devices on the deepest path ending at each wire
+        for device in sorted(self.devices, key=lambda d: d.column):
+            d = 1 + max(depth[w] for w in device.wires)
+            for w in device.wires:
+                depth[w] = d
+        return max(depth, default=0)
 
     def path_loss_db(self, spec: NonidealitySpec) -> np.ndarray:
         """Positional path loss (dB) accumulated at each output wire.

@@ -17,7 +17,7 @@ units of 1000 um^2; :meth:`FoundryPDK.footprint_k` applies that scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,18 @@ AMF = FoundryPDK(name="AMF", ps_area=6800.0, dc_area=1500.0, cr_area=64.0)
 AIM = FoundryPDK(name="AIM", ps_area=2500.0, dc_area=4000.0, cr_area=4900.0)
 
 _REGISTRY: Dict[str, FoundryPDK] = {"amf": AMF, "aim": AIM}
+
+#: Table 1 footprint windows per PTC size (1000 um^2), AMF PDK.
+TABLE1_WINDOWS: Dict[int, List[Tuple[float, float]]] = {
+    8: [(240, 300), (336, 420), (432, 540), (528, 660), (624, 780)],
+    16: [(480, 600), (672, 840), (864, 1080), (1056, 1320), (1248, 1560)],
+    32: [(960, 1200), (1344, 1680), (1728, 2160), (2112, 2640), (2496, 3120)],
+}
+
+#: Table 2 footprint windows (16x16, AIM PDK), ADEPT-a0 .. ADEPT-a5.
+TABLE2_WINDOWS: List[Tuple[float, float]] = [
+    (384, 480), (480, 600), (672, 840), (864, 1080), (1056, 1320), (1248, 1560),
+]
 
 
 def get_pdk(name: str) -> FoundryPDK:

@@ -24,6 +24,7 @@ the baseline for ``benchmarks/test_perf_service.py``).
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing as mp
 import os
 import time
@@ -40,6 +41,20 @@ __all__ = ["WorkerPool", "run_until_idle", "worker_loop"]
 #: Default lease on a claimed shard; a worker that dies is recovered
 #: after at most this long.
 DEFAULT_LEASE_SECONDS = 30.0
+
+#: The package layers that the builtin job kinds' shards import.  Under
+#: ``fork`` the pool imports them once in the parent, so every worker
+#: starts warm instead of importing them again for each pool (``import
+#: repro`` itself is lazy).  scipy stays deferred to the calls that use it.
+WARM_MODULES = (
+    "repro.analysis",
+    "repro.campaign.builtin",
+    "repro.experiments",
+    "repro.hardware",
+    "repro.layout",
+    "repro.photonics.power",
+    "repro.service.handlers",
+)
 
 
 def _execute_claim(queue: JobQueue, store: ArtifactStore, claim, worker_id: str,
@@ -182,8 +197,11 @@ class WorkerPool:
         self.processes: List[mp.Process] = []
 
     def start(self) -> "WorkerPool":
-        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
-                             else "spawn")
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        if method == "fork":
+            for name in WARM_MODULES:
+                importlib.import_module(name)
+        ctx = mp.get_context(method)
         for i in range(self.n_workers):
             p = ctx.Process(
                 target=worker_loop,

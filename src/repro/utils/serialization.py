@@ -30,11 +30,12 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from ..nn.module import Module
+if TYPE_CHECKING:
+    from ..nn.module import Module
 
 
 # ----------------------------------------------------------------------

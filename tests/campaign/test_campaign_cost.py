@@ -5,8 +5,16 @@ Counted, not timed, so they cannot flake on a loaded host: one
 and a sharded drain performs the same number of expansions whatever
 the campaign's size (the worker memoises each spec).  The memo keeps
 the per-shard ``cell_id`` guard, never stores a failure, and stays
-within its fixed size in a long-lived worker.
+within its fixed size in a long-lived worker.  Fork-started pool
+workers import no module of their own: the pool warms the parent.
 """
+
+import json
+import multiprocessing as mp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +98,53 @@ class TestShardedCost:
             assert sum(expansions) <= 3 * n_cells
             counts[n_cells] = len(expansions)
         assert counts[30] == counts[300]
+
+
+#: Runs a 2-worker ``power`` campaign in a fresh interpreter (so no
+#: earlier test has warmed it) with ``worker_loop`` wrapped to record,
+#: per worker pid, the modules the worker imported itself.
+_WARM_PROBE = """
+import json, os, sys
+from pathlib import Path
+
+import repro.service.workers as workers
+from repro.campaign import CampaignSpec, run_campaign
+
+out = Path(sys.argv[1])
+real = workers.worker_loop
+
+
+def recording(*args, **kwargs):
+    before = set(sys.modules)
+    try:
+        return real(*args, **kwargs)
+    finally:
+        grown = sorted(set(sys.modules) - before)
+        (out / f"worker-{os.getpid()}.json").write_text(json.dumps(grown))
+
+
+workers.worker_loop = recording
+spec = CampaignSpec(
+    name="warm-workers", kind="power",
+    axes={"design": ["mzi", "fft"], "seed": [0, 1, 2, 3]},
+    base={"k": 8, "pdk": "amf", "window_kum2": [240.0, 300.0]},
+    artifacts=[])
+run = run_campaign(spec, root=out / "svc", n_workers=2, timeout=120.0)
+assert len(run.results) == 8
+"""
+
+
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                    reason="warm workers are a fork start-method property")
+def test_forked_workers_import_no_modules(tmp_path):
+    src = Path(__file__).resolve().parents[2] / "src"
+    subprocess.run([sys.executable, "-c", _WARM_PROBE, str(tmp_path)],
+                   env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                   timeout=150)
+    grown = {p.name: json.loads(p.read_text())
+             for p in tmp_path.glob("worker-*.json")}
+    assert len(grown) == 2
+    assert grown == {name: [] for name in grown}
 
 
 class TestHandlerMemo:

@@ -122,6 +122,16 @@ class TestGraph:
         assert depth >= topo.n_blocks  # at least one PS column per block
         assert depth <= len(netlist.devices)
 
+    @pytest.mark.parametrize("netlist", [
+        *(build_netlist(make_topology(seed)) for seed in range(11)),
+        build_netlist(make_topology(3, k=16, nb=5)),
+        build_netlist(make_topology(4, permute_prob=0.0)),
+        Netlist(k=4),
+    ], ids=lambda n: f"k{n.k}-{len(n.devices)}dev")
+    def test_optical_depth_is_graph_longest_path(self, netlist):
+        g = netlist.to_graph()
+        assert netlist.optical_depth() == nx.dag_longest_path_length(g) - 1
+
 
 class TestPathLoss:
     def test_zero_spec_zero_loss(self):
