@@ -5,67 +5,81 @@ regenerates which table/figure and which benchmark exercises it; each
 module's docstring states its exact-reproduction and shape targets.
 """
 
-from .ablations import (
-    run_alm_variant_ablation,
-    run_crossing_cost_sweep,
-    run_normalization_ablation,
-    run_perm_init_ablation,
-)
-from .common import (
-    ExperimentScale,
-    MeshResult,
-    TABLE1_WINDOWS,
-    TABLE2_WINDOWS,
-    baseline_results,
-    full_scale,
-    get_data,
-    run_search,
-    train_eval_mesh,
-)
-from .extensions import (
-    ExpressivityComparison,
-    NonidealityStudy,
-    PowerComparison,
-    QuantizationStudy,
-    SearchMethodAblation,
-    expressivity_cell,
-    nonideality_cell,
-    power_cell,
-    quantization_cell,
-    run_expressivity_comparison,
-    run_nonideality_study,
-    run_power_comparison,
-    run_quantization_study,
-    run_search_method_ablation,
-    search_method_cell,
-)
-from .fig4 import NOISE_STDS, RobustnessCurves, check_fig4_shape, run_fig4_part
-from .fig5 import (
-    BETA_VALUES,
-    RHO0_VALUES,
-    check_fig5a_shape,
-    check_fig5b_shape,
-    run_fig5a,
-    run_fig5b,
-)
-from .report import (
-    format_row,
-    mesh_results_csv,
-    mesh_results_markdown,
-    print_table,
-    robustness_csv,
-    rows_to_csv,
-    rows_to_markdown,
-)
-from .table1 import Table1Result, check_table1_shape, run_table1
-from .table2 import Table2Result, check_table2_shape, run_table2
-from .table3 import (
-    PAPER_TABLE3,
-    Table3Result,
-    check_table3_shape,
-    run_table3,
-    search_transfer_topologies,
-)
+import importlib
+
+#: Submodule that defines each public name.  Names load on first access
+#: (PEP 562), so ``from repro.experiments.common import ...`` loads that
+#: module alone, not every table, figure and ablation module.
+_SOURCE = {
+    **dict.fromkeys((
+        "run_alm_variant_ablation",
+        "run_crossing_cost_sweep",
+        "run_normalization_ablation",
+        "run_perm_init_ablation",
+    ), "ablations"),
+    **dict.fromkeys((
+        "ExperimentScale",
+        "MeshResult",
+        "TABLE1_WINDOWS",
+        "TABLE2_WINDOWS",
+        "baseline_results",
+        "full_scale",
+        "get_data",
+        "run_search",
+        "train_eval_mesh",
+    ), "common"),
+    **dict.fromkeys((
+        "ExpressivityComparison",
+        "NonidealityStudy",
+        "PowerComparison",
+        "QuantizationStudy",
+        "SearchMethodAblation",
+        "expressivity_cell",
+        "nonideality_cell",
+        "power_cell",
+        "quantization_cell",
+        "run_expressivity_comparison",
+        "run_nonideality_study",
+        "run_power_comparison",
+        "run_quantization_study",
+        "run_search_method_ablation",
+        "search_method_cell",
+    ), "extensions"),
+    **dict.fromkeys((
+        "NOISE_STDS",
+        "RobustnessCurves",
+        "check_fig4_shape",
+        "run_fig4_part",
+    ), "fig4"),
+    **dict.fromkeys((
+        "BETA_VALUES",
+        "RHO0_VALUES",
+        "check_fig5a_shape",
+        "check_fig5b_shape",
+        "run_fig5a",
+        "run_fig5b",
+    ), "fig5"),
+    **dict.fromkeys((
+        "format_row",
+        "mesh_results_csv",
+        "mesh_results_markdown",
+        "print_table",
+        "robustness_csv",
+        "rows_to_csv",
+        "rows_to_markdown",
+    ), "report"),
+    **dict.fromkeys(("Table1Result", "check_table1_shape", "run_table1"),
+                    "table1"),
+    **dict.fromkeys(("Table2Result", "check_table2_shape", "run_table2"),
+                    "table2"),
+    **dict.fromkeys((
+        "PAPER_TABLE3",
+        "Table3Result",
+        "check_table3_shape",
+        "run_table3",
+        "search_transfer_topologies",
+    ), "table3"),
+}
 
 __all__ = [
     "ExpressivityComparison",
@@ -125,3 +139,11 @@ __all__ = [
     "search_transfer_topologies",
     "train_eval_mesh",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value

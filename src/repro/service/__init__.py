@@ -3,8 +3,9 @@
 Turns the one-shot ``python -m repro search/evaluate/robustness``
 scripts into a service: requests become content-addressed *jobs* in a
 crash-safe SQLite queue, deterministically decomposed into independent
-*shards* that a pool of worker processes executes across cores, with
-results aggregated into a content-addressed artifact store.  Killing
+*shards* that a pool of worker processes executes across cores.  Each
+shard's result is kept in its queue row, and the aggregate lands in a
+content-addressed artifact store.  Killing
 any worker (or the whole machine) loses nothing — leases expire,
 shards re-run, and the aggregated artifact comes out byte-identical.
 
@@ -12,9 +13,9 @@ Layers (bottom up):
 
 * :mod:`repro.service.jobs` — job model, kind registry, shard
   decomposition contract;
-* :mod:`repro.service.artifacts` — content-addressed JSON artifacts;
+* :mod:`repro.service.artifacts` — content-addressed final results;
 * :mod:`repro.service.queue` — persistent queue with validated state
-  transitions, leases, and retry-with-backoff;
+  transitions, leases, retry-with-backoff, and the shard results;
 * :mod:`repro.service.workers` — the multiprocess worker pool;
 * :mod:`repro.service.handlers` — builtin kinds (``robustness-grid``,
   ``evaluate``, ``search``, ``export``, ``fig4-part``, ``fig5a/b``);

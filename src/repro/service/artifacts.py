@@ -1,15 +1,18 @@
-"""Content-addressed artifact store for job and shard results.
+"""Content-addressed artifact store for final job results.
 
-Every result the service produces is a JSON document stored at
+Every job's final aggregate is a JSON document stored at
 ``<root>/<digest>.json`` where ``digest`` is the blake2b content
 address of its canonical encoding
-(:func:`repro.utils.serialization.json_digest`).  Properties that the
+(:func:`repro.utils.serialization.json_digest`).  Shard results are
+not stored here: they live in their queue rows
+(:meth:`repro.service.queue.JobQueue.shard_results`), so a drain
+writes one file per job, not one per shard.  Properties that the
 queue and the crash/resume machinery lean on:
 
-* **idempotent writes** — a shard re-executed after a worker crash
-  produces the same bytes and therefore the same path; concurrent
-  duplicate writers race benignly (last atomic rename wins, contents
-  identical);
+* **idempotent writes** — a job finalized twice (by racing workers,
+  or again after a crash) produces the same bytes and therefore the
+  same path; concurrent duplicate writers race benignly (last atomic
+  rename wins, contents identical);
 * **no torn reads** — writes go through
   :func:`repro.utils.serialization.atomic_write_text`, so a reader
   sees a complete document or nothing;

@@ -27,9 +27,13 @@ inside ``BEGIN IMMEDIATE`` transactions:
   shard was handed to someone else) gets a no-op ``False`` back
   rather than double-applying a transition.
 
-The queue stores only control state and artifact *references*; result
-payloads live in the content-addressed
-:class:`repro.service.artifacts.ArtifactStore`.
+* **shard results** — a shard's result is stored in its row, as
+  canonical JSON next to its blake2b digest (``result_ref``), by the
+  same transaction that marks the shard done, so a done shard always
+  holds its result and a lost commit just re-runs the shard.
+  :meth:`JobQueue.shard_results` re-hashes each one on read.  Only a
+  job's final aggregate goes to the content-addressed
+  :class:`repro.service.artifacts.ArtifactStore`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from typing import Dict, List, Optional, Union
 
 import json
 
-from ..utils.serialization import canonical_json_dumps
+from ..utils.serialization import canonical_json_dumps, text_digest
+from .artifacts import ArtifactStore
 from .jobs import JobSpec
 
 __all__ = [
@@ -116,6 +121,7 @@ CREATE TABLE IF NOT EXISTS shards (
     result_ref TEXT,
     error      TEXT,
     updated    REAL NOT NULL,
+    result     TEXT,                   -- canonical JSON; digest in result_ref
     PRIMARY KEY (job_id, idx)
 );
 CREATE TABLE IF NOT EXISTS transitions (
@@ -177,9 +183,45 @@ class JobQueue:
         self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
         # executescript manages its own transaction (implicit commit).
         self._conn.executescript(_SCHEMA)
+        self._upgrade_shard_results()
 
     def close(self) -> None:
         self._conn.close()
+
+    def _has_result_column(self) -> bool:
+        return any(r["name"] == "result" for r in
+                   self._conn.execute("PRAGMA table_info(shards)"))
+
+    def _upgrade_shard_results(self) -> None:
+        """Move shard results into a root written before they lived here.
+
+        Such a root kept each done shard's result in its own file under
+        ``artifacts/`` beside ``queue.sqlite``.  Adding the ``result``
+        column and copying those results in is one transaction, so it
+        happens exactly once: a crash midway rolls both back.  A file
+        that is missing or fails verification leaves its row empty,
+        and :meth:`shard_results` reports that shard.
+        """
+        if self._has_result_column():
+            return
+        with self._txn():
+            if self._has_result_column():  # upgraded by another process
+                return
+            self._conn.execute("ALTER TABLE shards ADD COLUMN result TEXT")
+            rows = self._conn.execute(
+                "SELECT job_id, idx, result_ref FROM shards "
+                "WHERE status='done'"
+            ).fetchall()
+            legacy = ArtifactStore(self.path.parent / "artifacts")
+            for r in rows:
+                try:
+                    text = canonical_json_dumps(legacy.get(r["result_ref"]))
+                except (OSError, ValueError):
+                    continue
+                self._conn.execute(
+                    "UPDATE shards SET result=? WHERE job_id=? AND idx=?",
+                    (text, r["job_id"], r["idx"]),
+                )
 
     # -- transactions ---------------------------------------------------
 
@@ -351,23 +393,29 @@ class JobQueue:
         self,
         job_id: str,
         idx: int,
-        result_ref: str,
+        result,
         worker: str,
         now: Optional[float] = None,
+        *,
+        encoded: Optional[str] = None,
     ) -> bool:
-        """Mark a leased shard done.  Returns False for stale workers
-        (lease expired and the shard was since requeued or finished
-        elsewhere) — the deterministic result they computed is simply
-        dropped."""
+        """Mark a leased shard done, storing its JSON-native ``result``
+        (as canonical JSON and its digest) in the same transaction.
+        ``encoded`` is ``canonical_json_dumps(result)`` when the caller
+        has it already.  Returns False for stale workers (lease expired
+        and the shard was since requeued or finished elsewhere) — the
+        deterministic result they computed is simply dropped."""
         now = time.time() if now is None else now
+        if encoded is None:
+            encoded = canonical_json_dumps(result)
         with self._txn():
             if not self._owns(job_id, idx, worker):
                 return False
             self._transition_shard(job_id, idx, "done", now, "complete")
             self._conn.execute(
-                "UPDATE shards SET result_ref=?, error=NULL "
+                "UPDATE shards SET result=?, result_ref=?, error=NULL "
                 "WHERE job_id=? AND idx=?",
-                (result_ref, job_id, idx),
+                (encoded, text_digest(encoded), job_id, idx),
             )
             return True
 
@@ -481,13 +529,29 @@ class JobQueue:
         ).fetchall()
         return [self.job_status(r["id"]) for r in rows]
 
-    def shard_result_refs(self, job_id: str) -> List[Optional[str]]:
-        """Result refs in shard-index order (None where not done)."""
+    def shard_results(self, job_id: str) -> list:
+        """Every shard's result in shard-index order, from one SELECT.
+
+        Each stored text is re-hashed against its ``result_ref``; a
+        mismatch, or a shard holding no result, raises ``ValueError``.
+        """
         rows = self._conn.execute(
-            "SELECT result_ref FROM shards WHERE job_id=? ORDER BY idx",
+            "SELECT idx, result, result_ref FROM shards WHERE job_id=? "
+            "ORDER BY idx",
             (job_id,),
         ).fetchall()
-        return [r["result_ref"] for r in rows]
+        results = []
+        for r in rows:
+            if r["result"] is None:
+                raise ValueError(f"shard {job_id}[{r['idx']}] holds no result")
+            actual = text_digest(r["result"])
+            if actual != r["result_ref"]:
+                raise ValueError(
+                    f"shard {job_id}[{r['idx']}] result failed content "
+                    f"verification (got {actual}, expected {r['result_ref']})"
+                )
+            results.append(json.loads(r["result"]))
+        return results
 
     def unfinished(self) -> int:
         """Number of jobs still pending or running."""

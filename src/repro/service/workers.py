@@ -1,13 +1,14 @@
 """Sharded multiprocess worker pool over the persistent queue.
 
 A *worker* is a loop: claim a leased shard, execute its job kind's
-``run_shard``, write the result to the content-addressed artifact
-store, mark the shard done, and — if that was the job's last shard —
-aggregate and finalize.  Workers are stateless: every byte of durable
-state lives in the queue and the artifact store, so a worker killed
-with ``kill -9`` mid-shard loses nothing; its lease expires and any
-other worker (or a freshly restarted pool) re-executes the shard to
-the identical result.
+``run_shard``, mark the shard done with its result in one queue
+transaction, and — if that was the job's last shard — aggregate the
+shard results from the queue and write the final result to the
+content-addressed artifact store.  Workers are stateless: every byte
+of durable state lives in the queue and the artifact store, so a
+worker killed with ``kill -9`` mid-shard loses nothing; its lease
+expires and any other worker (or a freshly restarted pool) re-executes
+the shard to the identical result.
 
 Determinism contract: shard decomposition is a pure function of the
 job params, shard execution is a pure function of ``(params, shard)``,
@@ -32,6 +33,7 @@ import traceback
 from pathlib import Path
 from typing import List, Optional, Union
 
+from ..utils.serialization import canonical_json_dumps
 from .artifacts import ArtifactStore
 from .jobs import get_job_type
 from .queue import JobQueue
@@ -49,7 +51,10 @@ DEFAULT_LEASE_SECONDS = 30.0
 WARM_MODULES = (
     "repro.analysis",
     "repro.campaign.builtin",
-    "repro.experiments",
+    "repro.experiments.common",
+    "repro.experiments.extensions",
+    "repro.experiments.fig4",
+    "repro.experiments.fig5",
     "repro.hardware",
     "repro.layout",
     "repro.photonics.power",
@@ -63,7 +68,8 @@ def _execute_claim(queue: JobQueue, store: ArtifactStore, claim, worker_id: str,
     try:
         job_type = get_job_type(claim.kind)
         result = job_type.run_shard(claim.params, claim.payload)
-        ref = store.put(result)
+        # Encoding here sends a non-JSON result (NaN) down the retry path.
+        encoded = canonical_json_dumps(result)
     except Exception:
         queue.fail_shard(
             claim.job_id,
@@ -74,7 +80,8 @@ def _execute_claim(queue: JobQueue, store: ArtifactStore, claim, worker_id: str,
             backoff_seconds=backoff_seconds,
         )
         return
-    queue.complete_shard(claim.job_id, claim.idx, ref, worker_id)
+    queue.complete_shard(claim.job_id, claim.idx, result, worker_id,
+                         encoded=encoded)
     _try_finalize(queue, store, claim.job_id)
 
 
@@ -91,8 +98,7 @@ def _try_finalize(queue: JobQueue, store: ArtifactStore, job_id: str) -> bool:
     if status["status"] != "running":
         return False
     job_type = get_job_type(status["kind"])
-    shard_results = [store.get(r) for r in queue.shard_result_refs(job_id)]
-    final = job_type.aggregate(status["params"], shard_results)
+    final = job_type.aggregate(status["params"], queue.shard_results(job_id))
     final_ref = store.put(final)
     return queue.finalize_job(job_id, final_ref)
 

@@ -18,7 +18,8 @@ primitives here:
 * :func:`canonical_json_dumps` — a bijective, sorted-key, non-NaN JSON
   encoding, so equal payloads always produce equal bytes;
 * :func:`json_digest` — a blake2b content address over that canonical
-  encoding (job ids and artifact references);
+  encoding (job ids, artifact references and shard results), and
+  :func:`text_digest`, the same address of an already-encoded text;
 * :func:`atomic_write_text` / :func:`atomic_write_bytes` — same-
   directory temp file + ``os.replace``, so concurrent readers of a
   persistent queue or cache directory never observe a torn write.
@@ -58,8 +59,12 @@ def canonical_json_dumps(obj) -> str:
 
 def json_digest(obj) -> str:
     """Hex blake2b-128 content address of ``obj``'s canonical JSON."""
-    enc = canonical_json_dumps(obj).encode("utf-8")
-    return hashlib.blake2b(enc, digest_size=16).hexdigest()
+    return text_digest(canonical_json_dumps(obj))
+
+
+def text_digest(text: str) -> str:
+    """Hex blake2b-128 content address of a canonical JSON ``text``."""
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:

@@ -3,7 +3,9 @@
 Counted, not timed, so they cannot flake on a loaded host: one
 ``expand()`` hashes the campaign id once, an inline run expands once,
 and a sharded drain performs the same number of expansions whatever
-the campaign's size (the worker memoises each spec).  The memo keeps
+the campaign's size (the worker memoises each spec), and a sharded
+drain fsyncs and leaves one artifact file, the final result, whatever
+its size (shard results live in the queue).  The memo keeps
 the per-shard ``cell_id`` guard, never stores a failure, and stays
 within its fixed size in a long-lived worker.  Fork-started pool
 workers import no module of their own: the pool warms the parent.
@@ -98,6 +100,32 @@ class TestShardedCost:
             assert sum(expansions) <= 3 * n_cells
             counts[n_cells] = len(expansions)
         assert counts[30] == counts[300]
+
+    def test_writes_do_not_grow_with_campaign_size(self, monkeypatch,
+                                                   tmp_path):
+        fsyncs = []
+        real = os.fsync
+
+        def counting(fd):
+            fsyncs.append(fd)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        writes = {}
+        for n_seeds in (10, 100):
+            spec = CampaignSpec(
+                name=f"writes-{n_seeds}", kind="power",
+                axes={"design": ["mzi", "fft", "adept"],
+                      "seed": list(range(n_seeds))},
+                base={"k": 8, "pdk": "amf", "window_kum2": [240.0, 300.0]},
+                artifacts=[])
+            root = tmp_path / f"svc-{n_seeds}"
+            del fsyncs[:]
+            run = run_campaign(spec, n_workers=0, root=root)
+            assert len(run.results) == 3 * n_seeds
+            files = list((root / "artifacts").glob("*.json"))
+            writes[len(run.results)] = (len(fsyncs), len(files))
+        assert writes == {30: (1, 1), 300: (1, 1)}
 
 
 #: Runs a 2-worker ``power`` campaign in a fresh interpreter (so no

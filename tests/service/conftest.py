@@ -20,6 +20,7 @@ SUM_KIND = "svc-sum"
 ECHO_KIND = "svc-echo"
 BOOM_KIND = "svc-boom"
 FLAKY_KIND = "svc-flaky"
+NAN_KIND = "svc-nan"
 
 
 def _sum_expand(params):
@@ -88,6 +89,14 @@ register_job_type(JobType(
     run_shard=_flaky_run_shard,
     aggregate=lambda params, results: {"values": [r["value"] for r in results]},
     description="fails each shard once then succeeds (tests)",
+))
+
+register_job_type(JobType(
+    kind=NAN_KIND,
+    expand=_sum_expand,
+    run_shard=lambda params, shard: {"i": shard["i"], "value": float("nan")},
+    aggregate=_sum_aggregate,
+    description="returns a result JSON cannot encode (tests)",
 ))
 
 

@@ -180,5 +180,11 @@ class TestStateMachineNeverSkips:
             # result only via finalize; a failed job accepts no claims.
             if status["status"] in ("done", "failed"):
                 assert queue.claim_shard("probe", now=now + 1000.0) is None
+
+            # Invariant 4: each done shard holds the result it was
+            # completed with, whoever completed it.
+            if status["status"] == "done":
+                assert queue.shard_results(job_id) == [
+                    f"ref-{i}" for i in range(n_shards)]
         finally:
             queue.close()

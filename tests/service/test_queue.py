@@ -87,7 +87,7 @@ class TestClaimComplete:
         assert not queue.finalizable_jobs()
         assert queue.complete_shard(job_id, 1, "ref-1", "w1", now=105.0)
         assert queue.finalizable_jobs() == [job_id]
-        assert queue.shard_result_refs(job_id) == ["ref-0", "ref-1"]
+        assert queue.shard_results(job_id) == ["ref-0", "ref-1"]
 
         assert queue.finalize_job(job_id, "ref-final", now=106.0)
         status = queue.job_status(job_id)
@@ -133,7 +133,7 @@ class TestLeases:
         # w1's lease expired and the shard moved on: its result is dropped.
         assert not queue.complete_shard(job_id, 0, "stale", "w1", now=112.0)
         assert queue.complete_shard(job_id, 0, "fresh", "w2", now=113.0)
-        assert queue.shard_result_refs(job_id) == ["fresh"]
+        assert queue.shard_results(job_id) == ["fresh"]
 
     def test_stale_worker_failure_fenced(self, queue):
         job_id = _submit(queue, n_shards=1)
@@ -283,3 +283,4 @@ class TestClaimIndex:
             assert not queue.all_shards_done(job_id)
             queue.complete_shard(job_id, c.idx, f"r{c.idx}", "w", now=t)
         assert queue.all_shards_done(job_id)
+        assert queue.shard_results(job_id) == ["r0", "r1"]

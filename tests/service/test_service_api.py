@@ -114,13 +114,13 @@ class TestOrphanedFinalization:
 
         job_id = service.submit("svc-sum", {"n_shards": 2, "seed": 2})
         job_type = get_job_type("svc-sum")
-        q, store = service.queue, service.store
+        q = service.queue
         while True:
             claim = q.claim_shard("doomed-worker", lease_seconds=60)
             if claim is None:
                 break
-            ref = store.put(job_type.run_shard(claim.params, claim.payload))
-            q.complete_shard(claim.job_id, claim.idx, ref, "doomed-worker")
+            result = job_type.run_shard(claim.params, claim.payload)
+            q.complete_shard(claim.job_id, claim.idx, result, "doomed-worker")
         assert service.status(job_id)["status"] == "running"
 
         result = service.result(job_id)  # client-side finalization

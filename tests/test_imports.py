@@ -43,6 +43,14 @@ def test_campaign_and_service_load_no_autograd(package):
     assert sorted(loaded & {"repro.nn", "repro.autograd"}) == []
 
 
+def test_experiments_common_loads_no_other_experiment():
+    loaded = _loaded_after(
+        "from repro.experiments.common import ExperimentScale")
+    others = {f"repro.experiments.{name}"
+               for name in ("table1", "table2", "table3", "ablations")}
+    assert sorted(loaded & others) == []
+
+
 def test_cli_info_loads_no_layer():
     loaded = _loaded_after(
         "import runpy\n"
@@ -55,7 +63,8 @@ def test_cli_info_loads_no_layer():
     assert sorted(loaded & set(HEAVY)) == []
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.photonics"])
+@pytest.mark.parametrize("package",
+                         ["repro", "repro.photonics", "repro.experiments"])
 def test_every_public_name_resolves(package):
     module = importlib.import_module(package)
     for name in module.__all__:
