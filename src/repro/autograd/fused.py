@@ -11,9 +11,11 @@ optionally soft-gated per block by Gumbel execution probabilities
 :mod:`repro.autograd.tensor` ops costs O(B) graph nodes *per mesh* and
 dominates runtime with Python dispatch overhead rather than FLOPs.
 
-This module provides two fused primitives that run the whole cascade
-as a single graph node with a hand-derived backward pass:
+This module provides fused primitives that each run as a single graph
+node with a hand-derived backward pass:
 
+* :func:`phase_factor` — the phase-shifter response ``exp(-j phi)``
+  of real phases, the ``ps`` input of every cascade.
 * :func:`phase_column_cascade` — the PS-column cascade above, with
   gradients for the phase factors, the block matrices (needed by the
   SuperMesh, where blocks depend on trainable permutations and
@@ -55,7 +57,11 @@ __all__ = [
     "matmul_chain_forward",
     "phase_column_cascade",
     "phase_column_cascade_forward",
+    "phase_factor",
 ]
+
+
+_NEG_J = np.array(-1j)
 
 
 def finite_checks_enabled() -> bool:
@@ -111,6 +117,22 @@ def l2_normalize(x: Tensor, axis: int, eps: float = 1e-12) -> Tensor:
         return (g / d - xd * (dot / (n2 * d)),)
 
     return _make(out, (x,), backward)
+
+
+def phase_factor(phases) -> Tensor:
+    """Fused phase-shifter response ``exp(-j * phases)`` (phases real).
+
+    One graph node whose forward and backward perform, op for op, the
+    arithmetic of the two-node composition ``exp(mul(-1j, phases))``,
+    so values and gradients are bit-identical to it.
+    """
+    phases = ensure_tensor(phases)
+    ps = np.exp(_NEG_J * phases.data)
+
+    def backward(g: np.ndarray):
+        return ((g * np.conj(ps)) * np.conj(_NEG_J),)
+
+    return _make(ps, (phases,), backward)
 
 
 def phase_column_cascade_forward(
@@ -224,9 +246,10 @@ def phase_column_cascade(
         if ed.shape not in ((n_blocks,), (n, n_blocks)):
             raise ValueError(f"exec_prob shape {ed.shape} invalid for B={n_blocks}")
 
-    eye = np.eye(k, dtype=complex)
     if n_blocks == 0:
-        return Tensor(np.broadcast_to(eye, (n, k, k)).copy())
+        return Tensor(np.broadcast_to(np.eye(k, dtype=complex), (n, k, k)).copy())
+    # The identity is only read as the skip path of a gated first block.
+    eye = None if ed is None else np.eye(k, dtype=complex)
 
     # Forward, keeping per-block intermediates for the backward pass.
     # The gated block outputs are only retained when the gates can
@@ -262,6 +285,8 @@ def phase_column_cascade(
         g_c = np.zeros(cd.shape, dtype=complex) if need_c else None
         g_e = np.zeros(ed.shape, dtype=complex) if need_e else None
         gu = np.asarray(g)
+        # Conjugate transpose of every block matrix, taken once.
+        cd_h = np.conj(np.swapaxes(cd, -1, -2))
         for b in reversed(range(n_blocks)):
             c_b = cd[b] if shared_c else cd[:, b]
             ps_b = pd[:, b, :]
@@ -291,9 +316,9 @@ def phase_column_cascade(
                 g_ps[:, b, :] = (g_block * np.conj(c_b)).sum(axis=-2)
                 g_prev = None
             else:
-                v = ps_b[:, :, None] * prev
-                g_v = np.conj(np.swapaxes(c_b, -1, -2)) @ g_block
+                g_v = (cd_h[b] if shared_c else cd_h[:, b]) @ g_block
                 if need_c:
+                    v = ps_b[:, :, None] * prev
                     gc = g_block @ np.conj(np.swapaxes(v, -1, -2))
                     if shared_c:
                         g_c[b] += gc.sum(axis=0)

@@ -213,18 +213,21 @@ class Tensor:
             grad = grad.data
         grad = np.asarray(grad)
 
+        # Iterative post-order DFS (parents in order): the same order a
+        # recursive sort gives, without a recursion limit on graph depth.
         topo: List[Tensor] = []
-        visited = set()
-
-        def build(t: Tensor) -> None:
-            if id(t) in visited:
-                return
-            visited.add(id(t))
-            for p in t._parents:
-                build(p)
-            topo.append(t)
-
-        build(self)
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in visited:
+                    visited.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
 
         grads: dict = {id(self): grad}
         for t in reversed(topo):

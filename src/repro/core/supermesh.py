@@ -36,7 +36,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, custom_grad, l2_normalize, phase_column_cascade
+from ..autograd import (
+    Tensor,
+    custom_grad,
+    l2_normalize,
+    phase_column_cascade,
+    phase_factor,
+)
 from ..autograd import tensor as T
 from ..nn import functional as F
 from ..nn.module import Module, Parameter
@@ -429,7 +435,6 @@ class SuperMeshCore(Module):
         self._rng = rng_
         # Constant tensors reused across fast forwards (graph leaves
         # without gradients are safe to share between graphs).
-        self._neg_j = Tensor(np.array(-1j))
         self._tile_consts = Tensor(np.ones((2, self.n_units, 1, 1, 1)))
         self._tile_gates = Tensor(np.ones((2, self.n_units, 1)))
 
@@ -451,9 +456,7 @@ class SuperMeshCore(Module):
         """
         n, k = self.n_units, self.k
         half = self.space.half_max
-        ps_all = T.exp(
-            T.mul(self._neg_j, self._noisy_phases())
-        )  # (n_units, n_blocks, K)
+        ps_all = phase_factor(self._noisy_phases())  # (n_units, n_blocks, K)
         # Fold the side axis into the mesh batch: (2 * n_units, half, ...).
         ps = (
             ps_all.reshape((n, 2, half, k))
@@ -481,9 +484,7 @@ class SuperMeshCore(Module):
         phases = self._noisy_phases()
         block_transfer = sample.block_transfer
         for b in self.space.side_blocks(side):
-            ps = T.exp(
-                T.mul(Tensor(np.array(-1j)), phases[:, b, :])
-            )  # (n_units, K)
+            ps = phase_factor(phases[:, b, :])  # (n_units, K)
             cb = block_transfer[b]  # (K, K)
             if u is None:
                 block = cb * ps.reshape((self.n_units, 1, k))

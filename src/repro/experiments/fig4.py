@@ -51,9 +51,8 @@ def mesh_noise_curve(
     """Variation-aware-train one mesh and sweep its noise robustness.
 
     The per-mesh unit of Fig. 4 — shared verbatim by the in-process
-    loop in :func:`run_fig4_part` and the design service's
-    ``fig4-part`` shards, so both paths produce identical curves at a
-    fixed seed.  Returns ``(noise_std, mean_acc_%, std_acc_%)``
+    loop in :func:`run_fig4_part` and the ``fig4-noise`` campaign
+    cells, so both paths produce identical curves at a fixed seed.  Returns ``(noise_std, mean_acc_%, std_acc_%)``
     triples.
     """
     model_name, dataset = _PART_TASKS[part]

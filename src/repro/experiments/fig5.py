@@ -51,7 +51,7 @@ def alm_scan_point(
     seed: int = 0,
 ) -> ALMTrace:
     """One rho0 setting of the Fig. 5(a) scan — the shard unit shared
-    by the in-process loop and the design service's ``fig5a`` job."""
+    by the in-process loop and the ``alm-scan`` campaign cells."""
     rng = spawn_rng(seed)
     learner = PermutationLearner(k, n_blocks, rho0=rho0, total_steps=steps)
     x = Tensor(rng.normal(size=(16, k)))
@@ -161,7 +161,7 @@ def penalty_scan_point(
     seed: int = 0,
 ) -> PenaltyTrace:
     """One beta setting of the Fig. 5(b) scan — the shard unit shared
-    by the in-process loop and the design service's ``fig5b`` job."""
+    by the in-process loop and the ``penalty-scan`` campaign cells."""
     from ..core import SuperMeshLinear
 
     f_min, f_max = window_kum2[0] * 1000, window_kum2[1] * 1000

@@ -75,15 +75,18 @@ def build_frozen_twin(params: dict) -> FixedTopologyFactory:
     radius = int(params.get("crosstalk_radius", 1))
     offsets = np.asarray(params.get("phase_offsets") or
                          np.zeros((len(blocks), k)), dtype=float)
-    xtalk = (thermal_crosstalk_matrix(k, gamma, radius)
-             if gamma > 0.0 else None)
-    if xtalk is not None or np.any(offsets):
+    # Frozen once here, not per build: constant leaves are safe to
+    # share between graphs.
+    xtalk_t = (Tensor(thermal_crosstalk_matrix(k, gamma, radius).T)
+               if gamma > 0.0 else None)
+    offsets_t = Tensor(offsets) if np.any(offsets) else None
+    if xtalk_t is not None or offsets_t is not None:
         def frozen_physics(phases: Tensor) -> Tensor:
             out = phases
-            if xtalk is not None:
-                out = out @ Tensor(xtalk.T)
-            if np.any(offsets):
-                out = out + Tensor(offsets)
+            if xtalk_t is not None:
+                out = out @ xtalk_t
+            if offsets_t is not None:
+                out = out + offsets_t
             return out
 
         factory.phase_transform = frozen_physics

@@ -17,6 +17,14 @@ the window.  This is the closed loop the paper's static noise analysis
 stops short of: serve -> drift -> detect -> recalibrate -> keep
 serving.
 
+Failures stay local.  A recalibrator that raises is recorded as a
+``recalibrations`` entry with ``applied: False`` and an ``error``
+string, the window resets (so a retry waits for a full window of
+fresh scores), and serving goes on with the stale calibration.  A
+failed chip call fails only the requests of its micro-batch; if the
+batcher itself dies, every request still queued is failed with its
+exception, and :meth:`StreamingServer.stop` always resets the server.
+
 Determinism: the server is single-threaded asyncio.  For a fixed
 workload driven by :meth:`serve` / :meth:`serve_sync`, every request is
 enqueued before the batcher drains, so the micro-batch decomposition —
@@ -95,13 +103,17 @@ class StreamingServer:
             self._batcher())
 
     async def stop(self) -> None:
-        """Drain outstanding requests, then stop the batcher."""
+        """Drain outstanding requests, then stop the batcher.  The
+        server is reset even when the batcher died, so it can be
+        started again."""
         if self._batcher_task is None:
             return
-        self._queue.put_nowait(_STOP)
-        await self._batcher_task
-        self._batcher_task = None
-        self._queue = None
+        try:
+            self._queue.put_nowait(_STOP)
+            await self._batcher_task
+        finally:
+            self._batcher_task = None
+            self._queue = None
 
     # -- request path ---------------------------------------------------
     async def submit(self, x: np.ndarray) -> np.ndarray:
@@ -111,11 +123,30 @@ class StreamingServer:
         """
         if self._queue is None:
             raise RuntimeError("server not started; call start() first")
+        if self._batcher_task.done():
+            task = self._batcher_task
+            raise RuntimeError("server batcher has stopped; call stop()") from (
+                None if task.cancelled() else task.exception())
         fut = asyncio.get_running_loop().create_future()
         self._queue.put_nowait((np.asarray(x), fut))
         return await fut
 
     async def _batcher(self) -> None:
+        try:
+            await self._drain()
+        except BaseException as exc:
+            # Whatever stopped the batcher, no queued caller waits forever.
+            while not self._queue.empty():
+                item = self._queue.get_nowait()
+                if item is _STOP or item[1].done():
+                    continue
+                if isinstance(exc, asyncio.CancelledError):
+                    item[1].cancel()
+                else:
+                    item[1].set_exception(exc)
+            raise
+
+    async def _drain(self) -> None:
         stopping = False
         while not stopping:
             item = await self._queue.get()
@@ -143,7 +174,8 @@ class StreamingServer:
                     fut.set_exception(exc)
             return
         for (_, fut), det in zip(pending, detections):
-            fut.set_result(det)
+            if not fut.done():  # a cancelled caller is skipped
+                fut.set_result(det)
         self.n_requests += len(pending)
         self.n_batches += 1
         self.batch_sizes.append(len(pending))
@@ -160,11 +192,19 @@ class StreamingServer:
             self.recalibrations.append(
                 {"batch_index": self.n_batches - 1, "applied": False})
             return
-        result = self.recalibrate(self.chip, self.target)
-        entry = dict(result)
-        entry["batch_index"] = self.n_batches - 1
-        entry["applied"] = True
-        entry["fidelity_after"] = float(self.chip.fidelity_to(self.target))
+        batch_index = self.n_batches - 1
+        try:
+            entry = dict(self.recalibrate(self.chip, self.target))
+        except Exception as exc:
+            # Keep serving on the stale calibration; the reset below
+            # defers the next attempt by a full window of fresh scores.
+            entry = {"batch_index": batch_index, "applied": False,
+                     "error": f"{type(exc).__name__}: {exc}"}
+        else:
+            entry["batch_index"] = batch_index
+            entry["applied"] = True
+            entry["fidelity_after"] = float(
+                self.chip.fidelity_to(self.target))
         self.recalibrations.append(entry)
         # Scores in the window describe the pre-reprogram chip.
         self.monitor.reset()

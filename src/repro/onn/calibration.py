@@ -8,7 +8,9 @@ closely as the nonideal hardware allows.  Two regimes:
 
 * :func:`calibrate_adjoint` — gradient descent on a *digital twin*
   (the chip model is differentiable in software).  Fast, but only as
-  good as the model.
+  good as the model.  Each step seeds the backward pass with the
+  squared-error gradient ``2 (u - t)`` on the built transfer, so the
+  graph holds only the twin's own nodes.
 * :func:`calibrate_spsa` — simultaneous-perturbation stochastic
   approximation: forward evaluations only, two per step, regardless
   of parameter count.  This is the standard hardware-in-the-loop
@@ -37,7 +39,7 @@ from typing import List
 
 import numpy as np
 
-from ..autograd import Tensor, no_grad
+from ..autograd import no_grad
 from ..optim import Adam
 from ..ptc.unitary import UnitaryFactory
 from ..utils.rng import get_rng
@@ -142,7 +144,7 @@ def calibrate_adjoint(
     form.
     """
     target = _check(factory, target)
-    t = Tensor(target.reshape(1, factory.k, factory.k))
+    t = target.reshape(1, factory.k, factory.k)
     n_meas = 0
 
     def measure() -> float:
@@ -157,8 +159,11 @@ def calibrate_adjoint(
         opt.zero_grad()
         u = factory.build()
         n_meas += 1
-        loss = ((u - t) * (u - t).conj()).real().sum()
-        loss.backward()
+        # Seed the adjoint of ||u - t||_F^2 directly: its gradient is
+        # 2 (u - t) under the complex convention, and the loss value
+        # itself is never read.
+        d = u.data - t
+        u.backward(d + d)
         opt.step()
         if (step + 1) % record_every == 0:
             history.append(measure())

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, concat, custom_grad, ensure_tensor
+from ..autograd import Tensor, concat, custom_grad, ensure_tensor, phase_factor
 from ..autograd import tensor as T
 
 #: Transmission coefficient of a 50:50 (3 dB) directional coupler.
@@ -121,8 +121,7 @@ def ps_column(phases: Tensor) -> Tensor:
     ``phases`` may have any shape ``(..., K)``; the result multiplies a
     field of shape ``(..., K, n)`` as ``ps[..., :, None] * field``.
     """
-    phases = ensure_tensor(phases)
-    return T.exp(T.mul(Tensor(np.array(-1j)), phases))
+    return phase_factor(phases)
 
 
 def apply_ps(field: Tensor, phases: Tensor) -> Tensor:
@@ -178,7 +177,7 @@ def mzi_layer_matrix(thetas: Tensor, phis: Tensor, k: int, offset: int) -> Tenso
     def phase_diag(ph: Tensor) -> Tensor:
         # Phases act on the upper arm of each MZI; other waveguides get 0.
         full = np.zeros(k)
-        col = T.exp(T.mul(Tensor(np.array(-1j)), ph[:n] if n < ph.shape[0] else ph))
+        col = phase_factor(ph[:n] if n < ph.shape[0] else ph)
         rows = pos
         diag = scatter_matrix(col, rows, rows, (k, k))
         rest = np.diag(np.asarray([0.0 if c else 1.0 for c in _covered_upper(k, pos)], dtype=complex))

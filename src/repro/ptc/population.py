@@ -34,8 +34,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import Tensor, phase_column_cascade
-from ..autograd import tensor as T
+from ..autograd import Tensor, phase_column_cascade, phase_factor
 from ..nn.module import Parameter
 from ..optim import Adam
 from ..utils.rng import get_rng
@@ -137,10 +136,9 @@ class TopologyPopulation:
         configured execution backend for this call (forward-only lanes
         apply only when no gradient is being recorded).
         """
-        ps = T.exp(T.mul(Tensor(np.array(-1j)), phases))
         return phase_column_cascade(
             Tensor(self.consts),
-            ps,
+            phase_factor(phases),
             Tensor(self.exec_mask),
             backend=exec_backend if exec_backend is not None else self.exec_backend,
         )
@@ -190,7 +188,7 @@ def fit_unitary_population(
         u = pop.transfer(phases)
         if psi is None:
             return u
-        screen = T.exp(T.mul(Tensor(np.array(-1j)), psi))
+        screen = phase_factor(psi)
         return screen.reshape((n_cand, k, 1)) * u
 
     target_norms = np.linalg.norm(target, axis=(-2, -1))

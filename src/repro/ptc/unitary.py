@@ -74,6 +74,7 @@ from ..autograd import (
     matmul_chain,
     no_grad,
     phase_column_cascade,
+    phase_factor,
 )
 from ..autograd import tensor as T
 from ..autograd.backend import BackendLike, ExecutionBackend, resolve_backend
@@ -108,11 +109,6 @@ def batched_scatter(
         return (g[..., rows, cols],)
 
     return custom_grad(out, (values,), backward)
-
-
-def _phase_factor(phases: Tensor) -> Tensor:
-    """exp(-j * phi) elementwise (phases real)."""
-    return T.exp(T.mul(Tensor(np.array(-1j)), phases))
 
 
 def block_constant_matrix(
@@ -492,8 +488,8 @@ class MZIMeshFactory(UnitaryFactory):
     def _build_fast(self, eb: Optional[ExecutionBackend] = None) -> Tensor:
         theta = self._noisy(self.theta)
         phi = self._noisy(self.phi)
-        a = _phase_factor(theta)  # (n_units, L, max_m)
-        e = _phase_factor(phi)
+        a = phase_factor(theta)  # (n_units, L, max_m)
+        e = phase_factor(phi)
         half = Tensor(np.array(0.5))
         jj = Tensor(np.array(1j))
         m00 = (a - 1.0) * e * half
@@ -512,8 +508,8 @@ class MZIMeshFactory(UnitaryFactory):
                 continue
             th = theta[:, layer, :m]
             ph = phi[:, layer, :m]
-            a = _phase_factor(th)
-            e = _phase_factor(ph)
+            a = phase_factor(th)
+            e = phase_factor(ph)
             half = Tensor(np.array(0.5))
             jj = Tensor(np.array(1j))
             m00 = (a - 1.0) * e * half
@@ -663,7 +659,7 @@ class ButterflyFactory(UnitaryFactory):
         self._topology_digest = content_digest(self._stage_stack)
 
     def _build_fast(self, eb: Optional[ExecutionBackend] = None) -> Tensor:
-        ps = _phase_factor(self._noisy(self.phases))  # (n_units, stages, K)
+        ps = phase_factor(self._noisy(self.phases))  # (n_units, stages, K)
         return phase_column_cascade(
             Tensor(self._stage_stack), ps, backend=self._resolve_exec(eb)
         )
@@ -672,7 +668,7 @@ class ButterflyFactory(UnitaryFactory):
         phases = self._noisy(self.phases)
         u: Optional[Tensor] = None
         for s in range(self.stages):
-            ps = _phase_factor(phases[:, s, :])  # (n_units, K)
+            ps = phase_factor(phases[:, s, :])  # (n_units, K)
             dc = Tensor(self._stage_dc[s])
             if u is None:
                 # dc @ diag(ps): scale columns of dc per unit.
@@ -796,7 +792,7 @@ class FixedTopologyFactory(UnitaryFactory):
         if self.n_blocks == 0:
             eye = np.broadcast_to(np.eye(self.k, dtype=complex), (self.n_units, self.k, self.k))
             return Tensor(eye.copy())
-        ps = _phase_factor(self._noisy(self.phases))  # (n_units, B, K)
+        ps = phase_factor(self._noisy(self.phases))  # (n_units, B, K)
         return phase_column_cascade(
             Tensor(self._const_stack), ps, backend=self._resolve_exec(eb)
         )
@@ -805,7 +801,7 @@ class FixedTopologyFactory(UnitaryFactory):
         phases = self._noisy(self.phases)
         u: Optional[Tensor] = None
         for b in range(self.n_blocks):
-            ps = _phase_factor(phases[:, b, :])  # (n_units, K)
+            ps = phase_factor(phases[:, b, :])  # (n_units, K)
             cb = Tensor(self._const[b])
             if u is None:
                 u = cb * ps.reshape((self.n_units, 1, self.k))

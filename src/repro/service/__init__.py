@@ -18,7 +18,7 @@ Layers (bottom up):
   transitions, leases, retry-with-backoff, and the shard results;
 * :mod:`repro.service.workers` — the multiprocess worker pool;
 * :mod:`repro.service.handlers` — builtin kinds (``robustness-grid``,
-  ``evaluate``, ``search``, ``export``, ``fig4-part``, ``fig5a/b``);
+  ``evaluate``, ``search``, ``export``, ``recalibrate``, ``campaign``);
 * :mod:`repro.service.service` — the :class:`DesignService` facade the
   CLI (``repro serve / submit / status``) and experiment drivers use.
 """

@@ -22,15 +22,14 @@ Kinds
     inline as JSON).
 ``export``
     Netlist/footprint accounting of a topology (single shard).
-``fig4-part``
-    Paper Fig. 4 robustness curves, one shard per mesh design.
-``fig5a`` / ``fig5b``
-    Paper Fig. 5 ablation scans, one shard per scan point.
 ``recalibrate``
     Online recalibration of a chip snapshot (single shard): rebuild
     the frozen digital twin from JSON params and solve for new phases
     — the job the streaming server submits when its quality window
     trips (:mod:`repro.hardware.recalibration`).
+``campaign``
+    A declarative experiment matrix (:mod:`repro.campaign`), one shard
+    per cell; the paper's Fig. 4/5 sweeps run through it.
 """
 
 from __future__ import annotations
@@ -329,132 +328,6 @@ register_job_type(JobType(
 
 
 # ----------------------------------------------------------------------
-# fig4-part: paper Fig. 4 robustness curves, one shard per mesh
-# ----------------------------------------------------------------------
-
-_FIG4_DEFAULTS = {
-    "part": "a",
-    "k": 16,
-    "meshes": None,              # [[name, "mzi"|"butterfly"|topo dict]...]
-    "scale": None,               # ExperimentScale field overrides
-    "noise_stds": [0.02, 0.04, 0.06, 0.08, 0.10],
-    "backend": "fast",
-}
-
-
-def _fig4_meshes(p: dict) -> List[list]:
-    meshes = p["meshes"]
-    if meshes is None:
-        meshes = [["MZI", "mzi"], ["FFT", "butterfly"]]
-    return meshes
-
-
-def _fig4_expand(params: dict) -> List[dict]:
-    p = _with_defaults(params, _FIG4_DEFAULTS)
-    return [{"mesh_index": i} for i in range(len(_fig4_meshes(p)))]
-
-
-def _fig4_run_shard(params: dict, shard: dict) -> dict:
-    from ..experiments.common import ExperimentScale
-    from ..experiments.fig4 import mesh_noise_curve
-
-    p = _with_defaults(params, _FIG4_DEFAULTS)
-    name, mesh = _fig4_meshes(p)[int(shard["mesh_index"])]
-    scale = ExperimentScale(**(p["scale"] or {}))
-    curve = mesh_noise_curve(
-        p["part"], name, resolve_mesh(mesh), int(p["k"]), scale,
-        _floats(p["noise_stds"]), p["backend"],
-    )
-    return {"name": name, "curve": [list(map(float, c)) for c in curve]}
-
-
-def _fig4_aggregate(params: dict, shard_results: List[dict]) -> dict:
-    p = _with_defaults(params, _FIG4_DEFAULTS)
-    return {
-        "part": p["part"],
-        "curves": {r["name"]: r["curve"] for r in shard_results},
-    }
-
-
-register_job_type(JobType(
-    kind="fig4-part",
-    expand=_fig4_expand,
-    run_shard=_fig4_run_shard,
-    aggregate=_fig4_aggregate,
-    description="Fig. 4 noise-robustness curves, one shard per mesh",
-))
-
-
-# ----------------------------------------------------------------------
-# fig5a / fig5b: ablation scans, one shard per scan point
-# ----------------------------------------------------------------------
-
-_FIG5A_DEFAULTS = {
-    "k": 8,
-    "n_blocks": 6,
-    "steps": 600,
-    "rho0_values": [1e-8, 5e-8, 1e-7, 5e-7, 1e-6, 5e-6],
-    "seed": 0,
-}
-
-
-def _fig5a_run_shard(params: dict, shard: dict) -> dict:
-    from ..experiments.fig5 import alm_scan_point
-
-    p = _with_defaults(params, _FIG5A_DEFAULTS)
-    rho0 = float(p["rho0_values"][int(shard["point_index"])])
-    trace = alm_scan_point(
-        rho0, k=int(p["k"]), n_blocks=int(p["n_blocks"]),
-        steps=int(p["steps"]), seed=int(p["seed"]),
-    )
-    return {
-        "rho0": rho0,
-        "perm_error": _floats(trace.perm_error),
-        "mean_lambda": _floats(trace.mean_lambda),
-    }
-
-
-register_job_type(JobType(
-    kind="fig5a",
-    expand=lambda params: [
-        {"point_index": i}
-        for i in range(len(_with_defaults(
-            params, _FIG5A_DEFAULTS)["rho0_values"]))
-    ],
-    run_shard=_fig5a_run_shard,
-    aggregate=lambda params, results: {"traces": results},
-    description="Fig. 5(a) ALM rho0 scan, one shard per rho0",
-))
-
-
-_FIG5B_DEFAULTS = {
-    "k": 8,
-    "window_kum2": [240.0, 300.0],
-    "steps": 150,
-    "beta_values": [0.001, 0.01, 0.1, 1.0, 10.0],
-    "seed": 0,
-}
-
-
-def _fig5b_run_shard(params: dict, shard: dict) -> dict:
-    from ..experiments.fig5 import penalty_scan_point
-
-    p = _with_defaults(params, _FIG5B_DEFAULTS)
-    beta = float(p["beta_values"][int(shard["point_index"])])
-    lo, hi = p["window_kum2"]
-    trace = penalty_scan_point(
-        beta, k=int(p["k"]), window_kum2=(float(lo), float(hi)),
-        steps=int(p["steps"]), seed=int(p["seed"]),
-    )
-    return {
-        "beta": beta,
-        "expected_footprint": _floats(trace.expected_footprint),
-        "penalty_over_beta": _floats(trace.penalty_over_beta),
-        "window": [float(w) for w in trace.window],
-    }
-
-
-# ----------------------------------------------------------------------
 # recalibrate: drive-program solve for one chip snapshot (single shard)
 # ----------------------------------------------------------------------
 
@@ -493,19 +366,6 @@ register_job_type(JobType(
     run_shard=_recalibrate_run_shard,
     aggregate=lambda params, results: results[0],
     description="solve new drive phases for one frozen chip snapshot",
-))
-
-
-register_job_type(JobType(
-    kind="fig5b",
-    expand=lambda params: [
-        {"point_index": i}
-        for i in range(len(_with_defaults(
-            params, _FIG5B_DEFAULTS)["beta_values"]))
-    ],
-    run_shard=_fig5b_run_shard,
-    aggregate=lambda params, results: {"traces": results},
-    description="Fig. 5(b) footprint-penalty beta scan, one shard per beta",
 ))
 
 

@@ -10,6 +10,7 @@ from repro.autograd import (
     l2_normalize,
     matmul_chain,
     phase_column_cascade,
+    phase_factor,
 )
 from repro.autograd import tensor as T
 
@@ -117,6 +118,32 @@ class TestPhaseColumnCascade:
                 Tensor(np.zeros((1, 2, 2), dtype=complex)),
                 T.exp(Tensor(np.array(-1j)) * phases),
             )
+
+
+class TestPhaseFactor:
+    def test_bits_match_elementary_composition(self, rng):
+        """One node with the exact arithmetic of ``exp(mul(-1j, p))``:
+        values and gradients are equal, not merely close."""
+        w = Tensor(rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4)))
+
+        def run(factor):
+            p = Tensor(rng_p.uniform(0, 2 * np.pi, size=(2, 3, 4)),
+                       requires_grad=True)
+            ps = factor(p)
+            (ps * w).real().sum().backward()
+            return ps, p
+
+        rng_p = np.random.default_rng(5)
+        fused, p_fused = run(phase_factor)
+        rng_p = np.random.default_rng(5)
+        ref, p_ref = run(lambda p: T.exp(T.mul(Tensor(np.array(-1j)), p)))
+        assert np.array_equal(fused.data, ref.data)
+        assert np.array_equal(p_fused.grad, p_ref.grad)
+        assert fused._parents == (p_fused,)
+
+    def test_constant_phases_build_no_node(self, rng):
+        out = phase_factor(rng.uniform(size=3))
+        assert out._backward is None and not out._parents
 
 
 class TestL2Normalize:

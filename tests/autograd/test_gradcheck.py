@@ -12,6 +12,7 @@ from repro.autograd import (
     matmul_chain,
     pad,
     phase_column_cascade,
+    phase_factor,
     softmax,
     stack,
     where,
@@ -161,6 +162,16 @@ class TestComplexGrads:
 
         assert gradcheck(f, [phi, x])
 
+    def test_fused_phase_factor(self, rng):
+        phi = Tensor(rng.uniform(0, 2 * np.pi, (2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+
+        def f(phi):
+            field = phase_factor(phi) * w
+            return (field.real() ** 2).sum() + field.imag().sum()
+
+        assert gradcheck(f, [phi])
+
     def test_mixed_real_complex_matmul(self, rng):
         a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)  # real leaf
         b = self.zt(rng, (3, 3))
@@ -261,6 +272,15 @@ class TestGradAccumulation:
         out = (m * blk).real().sum()
         out.backward()
         assert np.shape(m.grad) == ()
+
+    def test_deep_chain_has_no_recursion_limit(self):
+        """A graph deeper than the interpreter's recursion limit."""
+        x = Tensor(np.array(2.0), requires_grad=True)
+        y = x
+        for _ in range(1500):
+            y = y + 1.0
+        (y * x).backward()
+        assert x.grad == pytest.approx(2 * 2.0 + 1500)
 
     def test_descent_reduces_loss(self, rng):
         x = Tensor(rng.normal(size=8), requires_grad=True)

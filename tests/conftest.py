@@ -29,3 +29,29 @@ def tiny_mnist():
 @pytest.fixture
 def amf():
     return AMF
+
+
+class FaultInjector:
+    """Deterministic fault injection: wraps ``fn`` so that calls
+    ``n .. n + times - 1`` (1-based) raise ``RuntimeError("injected
+    fault")`` instead of running; ``times=None`` fails every call from
+    the ``n``-th on.  ``calls`` counts every call, failed or not."""
+
+    def __init__(self, fn, n, times=1):
+        self.fn = fn
+        self.n = int(n)
+        self.times = times
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls >= self.n and (
+                self.times is None or self.calls < self.n + self.times):
+            raise RuntimeError("injected fault")
+        return self.fn(*args, **kwargs)
+
+
+@pytest.fixture
+def fault():
+    """The :class:`FaultInjector` factory: ``fault(fn, n, times=1)``."""
+    return FaultInjector

@@ -1,5 +1,8 @@
 """Streaming server: micro-batching, the closed drift/recalibration
-loop, and byte-identical replay of a full serving scenario."""
+loop, byte-identical replay of a full serving scenario, and bounded
+failure under injected faults."""
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -181,3 +184,124 @@ class TestServiceRecalibration:
                 assert svc.status(r["job_id"])["status"] == "done"
         finally:
             svc.close()
+
+
+def failing_scenario(recalibrate=None):
+    """A fast-drifting K=8 chip whose monitor fires after two batches."""
+    rng = np.random.default_rng(0)
+    topo = random_topology(8, 4, 0, rng=rng)
+    chip = SimulatedChip(topo, drift=DriftSpec(phase_walk_std=0.3),
+                         seed=1, max_batch=8)
+    target = SimulatedChip(topo, seed=1).transfer_matrix()
+    server = StreamingServer(
+        chip, target=target,
+        monitor=RollingMonitor(window=2, trigger_below=0.999),
+        recalibrate=recalibrate, max_batch=8)
+    return server, [rng.normal(size=8) for _ in range(64)]
+
+
+def serve_within(server, inputs, timeout=10.0, wave_size=8):
+    return asyncio.run(asyncio.wait_for(
+        server.serve(inputs, wave_size=wave_size), timeout))
+
+
+class TestBoundedFailure:
+    """A failing dependency is recorded and served through; every
+    request resolves and the server can be started again."""
+
+    def test_raising_recalibrator_is_recorded_and_served_through(self, fault):
+        recal = fault(InlineRecalibrator(steps=5), 1, times=None)
+        server, inputs = failing_scenario(recal)
+        results = serve_within(server, inputs)
+        assert len(results) == 64 and server.n_requests == 64
+        failed = server.recalibrations
+        assert failed and recal.calls == len(failed)
+        for r in failed:
+            assert r == {"batch_index": r["batch_index"], "applied": False,
+                         "error": "RuntimeError: injected fault"}
+        # The monitor resets after each failure, so a retry needs a full
+        # window (two batches) of fresh scores.
+        indices = [r["batch_index"] for r in failed]
+        assert all(b - a >= 2 for a, b in zip(indices, indices[1:]))
+
+    def test_recalibrator_recovers_after_one_failure(self, fault):
+        recal = fault(InlineRecalibrator(steps=5), 1)
+        server, inputs = failing_scenario(recal)
+        serve_within(server, inputs)
+        first, *rest = server.recalibrations
+        assert not first["applied"] and "error" in first
+        assert rest and all(r["applied"] for r in rest)
+
+    def test_execute_raising_fails_only_its_batch(self, fault):
+        server, inputs = failing_scenario()
+        server.chip.execute = fault(server.chip.execute, 3)
+
+        async def client():
+            server.start()
+            try:
+                return await asyncio.gather(
+                    *(server.submit(x) for x in inputs),
+                    return_exceptions=True)
+            finally:
+                await server.stop()
+
+        results = asyncio.run(asyncio.wait_for(client(), 10.0))
+        errors = [i for i, r in enumerate(results)
+                  if isinstance(r, RuntimeError)]
+        assert errors == list(range(16, 24))
+        assert server.n_requests == 56 and server._batcher_task is None
+
+    def test_second_serve_after_a_failure(self, fault):
+        server, inputs = failing_scenario()
+        server.chip.execute = fault(server.chip.execute, 2)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            serve_within(server, inputs)
+        assert server._batcher_task is None and server._queue is None
+        results = serve_within(server, inputs)
+        assert len(results) == 64
+
+    @pytest.mark.parametrize("wave_size", [None, 8])
+    def test_dead_batcher_fails_queued_and_later_requests(self, fault,
+                                                          wave_size):
+        server, inputs = failing_scenario(InlineRecalibrator(steps=5))
+        server.chip.fidelity_to = fault(server.chip.fidelity_to, 1)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            serve_within(server, inputs, wave_size=wave_size)
+        assert server._batcher_task is None
+        server.chip.fidelity_to = server.chip.fidelity_to.fn
+        assert len(serve_within(server, inputs)) == 64
+
+    def test_cancelled_caller_does_not_stop_the_batcher(self):
+        server, inputs = failing_scenario()
+
+        async def client():
+            server.start()
+            try:
+                doomed = asyncio.ensure_future(server.submit(inputs[0]))
+                await asyncio.sleep(0)
+                doomed.cancel()
+                return await asyncio.gather(
+                    *(server.submit(x) for x in inputs[1:9]))
+            finally:
+                await server.stop()
+
+        assert len(asyncio.run(asyncio.wait_for(client(), 10.0))) == 8
+
+    def test_cancelled_batcher_cancels_queued_requests(self):
+        server, inputs = failing_scenario()
+
+        async def client():
+            server.start()
+            await asyncio.sleep(0)  # the batcher waits on an empty queue
+            calls = [asyncio.ensure_future(server.submit(x))
+                     for x in inputs[:3]]
+            await asyncio.sleep(0)  # all three are queued, none batched
+            server._batcher_task.cancel()
+            results = await asyncio.gather(*calls, return_exceptions=True)
+            with pytest.raises(asyncio.CancelledError):
+                await server.stop()
+            return results
+
+        results = asyncio.run(asyncio.wait_for(client(), 10.0))
+        assert all(isinstance(r, asyncio.CancelledError) for r in results)
+        assert server._batcher_task is None
